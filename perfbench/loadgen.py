@@ -4,10 +4,15 @@
 
 Sends every request of the schedule at its offset to the service's
 ``/v1`` API and polls until each resolves, from one thread over one
-connection at a time, then writes what it saw as JSON.  It runs outside
-the benchmark process so that its own Python work (encoding uploads,
-decoding polls) does not compete with the service for the interpreter
-lock that the measured latency depends on.
+connection at a time, then writes what it saw as JSON.  A ticket is
+polled every ``POLL_MIN_S`` until it has waited ten times that, then
+after a further ``POLL_SHARE`` of the time it has waited so far: a
+latency is read to within a tenth of itself, and a ticket held up by a
+refit costs tens of polls, not hundreds, each of which the service
+answers on a thread of its own.  It runs outside the benchmark process
+so that its own Python work (encoding uploads, decoding polls) does not
+compete with the service for the interpreter lock that the measured
+latency depends on.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import http.client
 import io
 import json
-import math
 import sys
 import time
 
@@ -24,7 +28,8 @@ import numpy as np
 N_CLASSES = 2
 ROW_SUM_TOLERANCE = 1e-9
 LATENCY_LIMIT_S = 2.0
-POLL_INTERVAL_S = 0.003
+POLL_MIN_S = 0.003
+POLL_SHARE = 0.1
 RESOLVE_TIMEOUT_S = 30.0
 BASE = "/v1/tenants/default"
 
@@ -55,9 +60,9 @@ def _request(port: int, method: str, path: str, body: bytes | None = None) -> tu
 
 def drive(port: int, window_s: float, offsets: list[float], batches: list[np.ndarray],
           truths: list[np.ndarray]) -> dict:
-    """Send each batch at its offset; poll every outstanding ticket each
-    ``POLL_INTERVAL_S`` between sends.  Latency runs from the scheduled
-    send to the poll that shows the ticket resolved."""
+    """Send each batch at its offset and poll each outstanding ticket on
+    its backoff schedule until it resolves.  Latency runs from the
+    scheduled send to the poll that shows the ticket resolved."""
     out: dict = {
         "latencies": [], "submit_s": [], "send_lag_s": [], "failures": [], "late": {},
         "sent": 0, "polls": 0, "done": 0, "failed": 0, "timed_out": 0,
@@ -68,7 +73,12 @@ def drive(port: int, window_s: float, offsets: list[float], batches: list[np.nda
         out["failed"] += 1
         out["failures"].append(reason)
 
-    pending: dict[str, int] = {}
+    def next_poll(index: int) -> float:
+        """When to poll a ticket of request ``index`` next (s from start)."""
+        now = time.perf_counter() - start
+        return now + max(POLL_MIN_S, POLL_SHARE * (now - offsets[index]))
+
+    pending: dict[str, tuple[int, float]] = {}  # ticket -> (request index, next poll)
     start = time.perf_counter()
     last_resolved = start
     due = 0
@@ -87,12 +97,14 @@ def drive(port: int, window_s: float, offsets: list[float], batches: list[np.nda
                 status, payload = 0, {"error": str(error)}
             out["submit_s"].append(time.perf_counter() - sent_at)
             if status == 202:
-                pending[payload["ticket"]] = index
+                pending[payload["ticket"]] = (index, next_poll(index))
             else:
                 out["latencies"].append(time.perf_counter() - start - offsets[index])
                 fail(f"submit answered {status}: {payload.get('error')}")
             continue
-        for ticket, index in list(pending.items()):
+        for ticket, (index, poll_at) in list(pending.items()):
+            if poll_at > now:
+                continue
             waited = time.perf_counter() - start - offsets[index]
             if waited > RESOLVE_TIMEOUT_S:
                 del pending[ticket]
@@ -105,9 +117,10 @@ def drive(port: int, window_s: float, offsets: list[float], batches: list[np.nda
             try:
                 status, payload = _request(port, "GET", f"{BASE}/poll/{ticket}")
             except OSError:
-                continue  # polled again next round; the timeout bounds it
+                status, payload = None, {}  # polled again on schedule; the timeout bounds it
             state = payload.get("state") if status == 200 else "failed"
-            if state == "pending":
+            if status is None or state == "pending":
+                pending[ticket] = (index, next_poll(index))
                 continue
             resolved = time.perf_counter()
             latency = resolved - start - offsets[index]
@@ -128,11 +141,9 @@ def drive(port: int, window_s: float, offsets: list[float], batches: list[np.nda
             out["good"] += int(latency <= LATENCY_LIMIT_S)
             out["correct_rows"] += int((labels.argmax(axis=1) == truths[index]).sum())
             out["scored_rows"] += rows
-        if due < len(offsets) or pending:
-            wake = offsets[due] if due < len(offsets) else math.inf
-            pause = min(POLL_INTERVAL_S, wake - (time.perf_counter() - start))
-            if pause > 0:
-                time.sleep(pause)
+        wakes = [poll_at for _, poll_at in pending.values()] + offsets[due:due + 1]
+        if wakes:
+            time.sleep(max(0.0, min(wakes) - (time.perf_counter() - start)))
     # Throughput over the offered window, or longer when the service
     # drains past it.
     out["span_s"] = max(window_s, last_resolved - start)

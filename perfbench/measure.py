@@ -1,10 +1,10 @@
-"""Metric definitions, exact quantiles and the environment fingerprint.
+"""Per-layer metric definitions, exact quantiles and the environment
+fingerprint.
 
-``E2E`` and ``PER_LAYER`` are the benchmark's metric catalogue; the
-names, units and directions in ``BENCHMARK.json`` mirror them (the smoke
-tests check that they agree).  Per-layer times and counts are per op:
-one ``Goggles.label`` call on the closed-loop workloads, one service
-batch on ``serve-online``.
+``PER_LAYER`` is the per-layer metric catalogue; the names and units in
+``BENCHMARK.json`` mirror it (the smoke tests check that they agree).
+Per-layer times and counts are per op: one ``Goggles.label`` call on
+the closed-loop workloads, one service batch on ``serve-online``.
 """
 
 from __future__ import annotations
@@ -20,18 +20,6 @@ from pathlib import Path
 from typing import Callable
 
 from hooks import Tracer
-
-# (name, unit, better) — untraced runs emit exactly these.
-E2E: tuple[tuple[str, str, str], ...] = (
-    ("setup_s", "s", "lower"),
-    ("latency_s_p50", "s", "lower"),
-    ("images_per_s", "images/s", "higher"),
-    ("goodput_ratio", "ratio", "higher"),
-    ("accuracy", "ratio", "higher"),
-    ("peak_rss_mb", "MB", "lower"),
-    ("success_ratio", "ratio", "higher"),
-)
-
 
 def nearest_rank(values: list[float], q: float) -> float:
     """The nearest-rank ``q`` quantile of raw samples (no interpolation,
@@ -103,7 +91,6 @@ class LayerMetric:
 
     name: str
     unit: str
-    better: str
     spans: tuple[str, ...]
     value: Callable[["LayerInputs"], float]
 
@@ -147,12 +134,12 @@ def _quantile(samples: list[float], q: float) -> float:
 
 def _busy(name: str, span: str) -> LayerMetric:
     """Seconds per op spent in one span (nested calls included)."""
-    return LayerMetric(name, "s/op", "lower", (span,), lambda m: m.time(span))
+    return LayerMetric(name, "s/op", (span,), lambda m: m.time(span))
 
 
 def _per_op(name: str, unit: str, span: str, count: str, scale: float = 1.0) -> LayerMetric:
     """A count the hooks on ``span`` derive, per op."""
-    return LayerMetric(name, unit, "lower", (span,), lambda m: m.count(count) * scale)
+    return LayerMetric(name, unit, (span,), lambda m: m.count(count) * scale)
 
 
 def _queue_wait(m: LayerInputs) -> list[float]:
@@ -164,7 +151,7 @@ PER_LAYER: tuple[LayerMetric, ...] = (
     _per_op("nn.images", "images/op", "nn.forward", "nn.images"),
     _busy("tiling.prototype_s", "tiling.prototype"),
     LayerMetric(
-        "tiling.unique_prototype_ratio", "ratio", "lower", ("tiling.prototype",),
+        "tiling.unique_prototype_ratio", "ratio", ("tiling.prototype",),
         lambda m: _ratio(m.total("tiling.unique_prototypes"), m.total("tiling.candidates")),
     ),
     _busy("tiling.similarity_s", "tiling.similarity"),
@@ -177,10 +164,10 @@ PER_LAYER: tuple[LayerMetric, ...] = (
     _busy("inference.ensemble_s", "inference.ensemble"),
     _per_op("inference.ensemble_em_iters", "iters/op", "inference.ensemble", "inference.ensemble_em_iters"),
     _busy("inference.mapping_s", "inference.mapping"),
-    LayerMetric("cache.hits", "count", "higher", ("cache.load",), lambda m: m.total("cache.hits")),
-    LayerMetric("cache.misses", "count", "lower", ("cache.load",), lambda m: m.total("cache.misses")),
+    LayerMetric("cache.hits", "count", ("cache.load",), lambda m: m.total("cache.hits")),
+    LayerMetric("cache.misses", "count", ("cache.load",), lambda m: m.total("cache.misses")),
     LayerMetric(
-        "cache.hit_ratio", "ratio", "higher", ("cache.load",), lambda m: _ratio(m.cache_hit_ops, m.cache_ops)
+        "cache.hit_ratio", "ratio", ("cache.load",), lambda m: _ratio(m.cache_hit_ops, m.cache_ops)
     ),
     _busy("cache.hash_s", "cache.hash"),
     _busy("cache.load_s", "cache.load"),
@@ -189,38 +176,38 @@ PER_LAYER: tuple[LayerMetric, ...] = (
     _busy("online.absorb_s", "online.absorb"),
     _busy("online.arrival_rows_s", "online.arrival_rows"),
     _busy("online.refit_s", "online.refit"),
-    LayerMetric("online.refits", "count", "lower", ("online.refit",), lambda m: m.total("online.refits")),
+    LayerMetric("online.refits", "count", ("online.refit",), lambda m: m.total("online.refits")),
     LayerMetric(
-        "online.refit_ratio", "ratio", "lower", ("online.refit", "serving.batch"),
+        "online.refit_ratio", "ratio", ("online.refit", "serving.batch"),
         lambda m: _ratio(m.total("online.refits"), m.ops),
     ),
     _busy("engine.extend_s", "engine.extend"),
     LayerMetric(
-        "serving.queue_wait_s_p50", "s", "lower", ("serving.batch",), lambda m: _quantile(_queue_wait(m), 0.5)
+        "serving.queue_wait_s_p50", "s", ("serving.batch",), lambda m: _quantile(_queue_wait(m), 0.5)
     ),
     LayerMetric(
-        "serving.queue_wait_s_p90", "s", "lower", ("serving.batch",), lambda m: _quantile(_queue_wait(m), 0.9)
+        "serving.queue_wait_s_p90", "s", ("serving.batch",), lambda m: _quantile(_queue_wait(m), 0.9)
     ),
     LayerMetric(
-        "serving.batches", "count", "lower", ("serving.batch",), lambda m: float(len(m.tracer.op_walls))
+        "serving.batches", "count", ("serving.batch",), lambda m: float(len(m.tracer.op_walls))
     ),
     LayerMetric(
-        "serving.rows_per_batch", "rows/batch", "higher", ("serving.batch",),
+        "serving.rows_per_batch", "rows/batch", ("serving.batch",),
         lambda m: _ratio(m.rows_labeled, len(m.tracer.op_walls)),
     ),
     LayerMetric(
-        "http.submit_s_p50", "s", "lower", (), lambda m: _quantile(m.client.get("submit_s", []), 0.5)
+        "http.submit_s_p50", "s", (), lambda m: _quantile(m.client.get("submit_s", []), 0.5)
     ),
-    LayerMetric("http.polls_per_ticket", "polls/ticket", "lower", (), lambda m: _ratio(m.polls, m.sent)),
+    LayerMetric("http.polls_per_ticket", "polls/ticket", (), lambda m: _ratio(m.polls, m.sent)),
     LayerMetric(
-        "loadgen.send_lag_s_p90", "s", "lower", (), lambda m: _quantile(m.client.get("send_lag_s", []), 0.9)
+        "loadgen.send_lag_s_p90", "s", (), lambda m: _quantile(m.client.get("send_lag_s", []), 0.9)
     ),
-    LayerMetric("loadgen.sent", "count", "higher", (), lambda m: float(m.sent)),
+    LayerMetric("loadgen.sent", "count", (), lambda m: float(m.sent)),
     LayerMetric(
-        "trace.residual_s", "s/op", "lower", (), lambda m: m.per_op(m.op_wall_s - m.tracer.toplevel_s)
+        "trace.residual_s", "s/op", (), lambda m: m.per_op(m.op_wall_s - m.tracer.toplevel_s)
     ),
     LayerMetric(
-        "trace.overhead_ratio", "ratio", "lower", (), lambda m: _ratio(m.traced_e2e_s, m.untraced_e2e_s)
+        "trace.overhead_ratio", "ratio", (), lambda m: _ratio(m.traced_e2e_s, m.untraced_e2e_s)
     ),
 )
 

@@ -54,6 +54,8 @@ def test_every_metric_emitted_with_unit(workload):
         assert outcome["correct"] and outcome["failed"] == 0 and outcome["attempted"] >= 1
         assert {name: m["unit"] for name, m in outcome["metrics"].items()} == _units(SPEC["end_to_end"])
     assert first["inputs_sha256"] != second["inputs_sha256"]
+    if workload.startswith("label-"):  # whole rounds of the five datasets only
+        assert result["attempted"] == 5 * first["rounds"]
     assert first["env"]["seed"] == 1 and first["env"]["nproc"] >= 1
 
     report, traced, lines = _run(workload, seed=1, trace=1)

@@ -5,10 +5,11 @@ Every workload runs the default ``GogglesConfig`` (only ``seed`` and
 tasks with a 5-per-class dev set.  Inputs come from the workload seed
 alone; the program never sees the seed.
 
-* ``label-n160`` — closed loop, one caller, N=160 per op.  Op i labels a
-  distinct corpus of task (dataset i mod 5 in cub → gtsrb → surface →
-  tbxray → pnxray, class pair i div 5), rendered from the seed.  The
-  backbone is the largest stage here.
+* ``label-n160`` — closed loop, one caller, N=160 per op, in whole
+  rounds of the five datasets (cub → gtsrb → surface → tbxray →
+  pnxray, one fixed class pair each), so every run scores the same task
+  mix whatever its speed.  Every op labels a distinct corpus, rendered
+  from the seed.  The backbone is the largest stage here.
 * ``relabel-cached`` — closed loop with an artifact cache in a fresh
   directory.  Ops revisit a pool of two N=160 corpora: each cycle visits
   both once (misses) and then four more times each in seeded order
@@ -32,7 +33,9 @@ A run measures for ``seconds``: of op time on the closed loops, of
 arrivals on ``serve-online``.  With ``trace`` the run is
 split: the first half runs without hooks, then the same inputs run
 again with hooks installed — the per-layer metrics come from the second
-half, and the ratio of the two is the tracing overhead.
+half, and the ratio of the two is the tracing overhead.  Corpora are
+rebuilt from the seed for the second half rather than kept, so the
+memory a run holds does not grow with the number of ops it fits.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ LATENCY_LIMIT_S = {
 WORKLOADS = tuple(LATENCY_LIMIT_S)
 
 SERVE_RATE_PER_S = 1.0
-TASK_SEED = 0  # serve-online: one fixed tenant task; the seed varies its traffic
+TASK_SEED = 0  # the fixed class pair of every task, and serve-online's one tenant task
 CACHE_POOL = 2
 CACHE_REVISITS = 4
 
@@ -98,6 +101,7 @@ class Run:
     good: int = 0  # ops done and checked within the latency limit
     correct_rows: int = 0
     scored_rows: int = 0
+    peak_rss_mb: float = 0.0
     attempted: int = 0
     failed: int = 0
     failures: list[str] = field(default_factory=list)
@@ -114,19 +118,21 @@ class Run:
         self.correct_rows += int((labels.argmax(axis=1) == truth).sum())
         self.scored_rows += int(truth.size)
 
-    def e2e(self, import_s: float) -> dict[str, tuple[float, str]]:
+    def e2e(self, import_samples: list[float]) -> dict[str, tuple[float, str]]:
         # A run holds 15-30 ops, so no percentile above the median has ten
         # samples beyond it: the p90 is reported, not gated.
         self.details["latency_s_p90"] = nearest_rank(self.latencies, 0.9)
         self.details["latencies_s"] = [round(latency, 4) for latency in self.latencies]
         self.details["latency_limit_s"] = LATENCY_LIMIT_S[self.workload]
+        self.details["import_samples_s"] = import_samples
+        self.details["setup_samples_s"] = self.setup_samples
         return {
-            "setup_s": (import_s + statistics.median(self.setup_samples), "s"),
+            "setup_s": (statistics.median(import_samples) + statistics.median(self.setup_samples), "s"),
             "latency_s_p50": (nearest_rank(self.latencies, 0.5), "s"),
             "images_per_s": (self.images / self.busy_s if self.busy_s else 0.0, "images/s"),
             "goodput_ratio": (self.good / self.attempted, "ratio"),
             "accuracy": (self.correct_rows / self.scored_rows if self.scored_rows else 0.0, "ratio"),
-            "peak_rss_mb": (peak_rss_mb(), "MB"),
+            "peak_rss_mb": (self.peak_rss_mb, "MB"),
             "success_ratio": ((self.attempted - self.failed) / self.attempted, "ratio"),
         }
 
@@ -136,16 +142,15 @@ def derive(seed: int, *tags: object) -> int:
     return random.Random(":".join(str(part) for part in (seed, *tags))).getrandbits(31)
 
 
-def _corpus(seed: int, index: int, n: int, run: Run):
+def _corpus(seed: int, index: int, n: int):
     from repro import make_dataset
 
-    # Op i labels task (dataset i mod 5, class pair i div 5) — the same
+    # Op i labels dataset i mod 5 on its one fixed class pair — the same
     # task sequence in every run — with images rendered from the seed.
     name = DATASETS[index % len(DATASETS)]
     tag = derive(seed, "corpus", n, index)
-    dataset = make_dataset(name, n_per_class=n // N_CLASSES, seed=tag, pair_seed=index // len(DATASETS))
+    dataset = make_dataset(name, n_per_class=n // N_CLASSES, seed=tag, pair_seed=TASK_SEED)
     dev = dataset.sample_dev_set(per_class=DEV_PER_CLASS, seed=tag)
-    run.digest.update(np.ascontiguousarray(dataset.images).tobytes())
     return dataset, dev
 
 
@@ -156,21 +161,29 @@ def _goggles(cache_dir: Path | None = None):
     return Goggles(GogglesConfig(seed=0, n_classes=N_CLASSES, cache_dir=cache))
 
 
-def _timed_setups(build) -> tuple[list[float], object]:
-    """Set the system up ``SETUP_REPEATS`` times; keep the last one."""
-    samples, system = [], None
-    for _ in range(SETUP_REPEATS):
-        if system is not None:
-            system.close()
-        started = time.perf_counter()
-        system = build()
-        samples.append(time.perf_counter() - started)
-    return samples, system
+def _setup(run: Run, build):
+    """One timed set-up of the system."""
+    started = time.perf_counter()
+    system = build()
+    run.setup_samples.append(time.perf_counter() - started)
+    return system
+
+
+def _measured(run: Run, build) -> None:
+    """Close the untraced measurement: read the memory high-water mark of
+    one set-up plus the work, then time ``SETUP_REPEATS - 1`` more
+    set-ups so that ``setup_s`` is a median.  The repeats come last
+    because memory a discarded set-up leaves resident raises the mark
+    (on serve-online each one added 10-120 MB on a 2-core x86 box)."""
+    run.peak_rss_mb = peak_rss_mb()
+    for _ in range(SETUP_REPEATS - 1):
+        _setup(run, build).close()
 
 
 def _another(walls: list[float], budget: float) -> bool:
-    """Whether to start another op (or cache cycle): always a first one,
-    then another only if one as long as the last ends within the budget."""
+    """Whether to start another label round (or cache cycle): always a
+    first one, then another only if one as long as the last ends within
+    the budget."""
     return not walls or sum(walls) + walls[-1] <= budget
 
 
@@ -209,29 +222,38 @@ def _record_label(run: Run, wall: float, labels, dataset, dev) -> None:
 # ----------------------------------------------------------------------
 # label-n160 / label-n640
 # ----------------------------------------------------------------------
-def run_label(run: Run, n: int, seed: int, seconds: float, trace: bool) -> None:
-    run.setup_samples, goggles = _timed_setups(_goggles)
-    budget = seconds / 2 if trace else seconds
-    corpora, walls = [], []
-    while _another(walls, budget):
-        dataset, dev = _corpus(seed, len(corpora), n, run)
+def _label_round(run: Run, goggles, seed: int, n: int, number: int, record: bool) -> float:
+    """Label round ``number``: one corpus of each dataset, each built,
+    labeled and dropped before the next.  Returns the op time."""
+    wall_s = 0.0
+    for index in range(number * len(DATASETS), (number + 1) * len(DATASETS)):
+        dataset, dev = _corpus(seed, index, n)
         wall, labels = _label_op(run, goggles, dataset, dev)
-        _record_label(run, wall, labels, dataset, dev)
-        corpora.append((dataset, dev))
-        walls.append(wall)
+        if record:
+            run.digest.update(np.ascontiguousarray(dataset.images).tobytes())
+            _record_label(run, wall, labels, dataset, dev)
+        wall_s += wall
+    return wall_s
+
+
+def run_label(run: Run, n: int, seed: int, seconds: float, trace: bool) -> None:
+    goggles = _setup(run, _goggles)
+    rounds: list[float] = []
+    while _another(rounds, seconds / 2 if trace else seconds):
+        rounds.append(_label_round(run, goggles, seed, n, len(rounds), record=True))
+    run.details["rounds"] = len(rounds)
     if not trace:
+        _measured(run, _goggles)
         return
     tracer = Tracer()
     tracer.install()
-    traced = []
     try:
-        for dataset, dev in corpora:
-            traced.append(_label_op(run, goggles, dataset, dev)[0])
+        traced = [_label_round(run, goggles, seed, n, number, record=False) for number in range(len(rounds))]
     finally:
         tracer.uninstall()
     run.layer = LayerInputs(
-        tracer=tracer, ops=len(traced), op_wall_s=sum(traced),
-        traced_e2e_s=sum(traced), untraced_e2e_s=sum(walls),
+        tracer=tracer, ops=len(rounds) * len(DATASETS), op_wall_s=sum(traced),
+        traced_e2e_s=sum(traced), untraced_e2e_s=sum(rounds),
     )
 
 
@@ -248,15 +270,21 @@ def _cycle_order(seed: int, cycle: int) -> list[int]:
 
 def run_cached(run: Run, n: int, seed: int, seconds: float, trace: bool, workdir: Path) -> None:
     dirs = (workdir / f"cache-{number}" for number in itertools.count())
-    run.setup_samples, _ = _timed_setups(lambda: _goggles(next(dirs)))
-    pool = [_corpus(seed, index, n, run) for index in range(CACHE_POOL)]
+
+    def build():
+        return _goggles(next(dirs))
+
+    _setup(run, build).close()
+    pool = [_corpus(seed, index, n) for index in range(CACHE_POOL)]
+    for dataset, _ in pool:
+        run.digest.update(np.ascontiguousarray(dataset.images).tobytes())
     first: dict[int, np.ndarray] = {}
     visits = hits = 0
 
     def cycle(number: int, tracer: Tracer | None) -> list[float]:
         """One pass over the pool with a cache in a fresh directory."""
         nonlocal visits, hits
-        goggles = _goggles(next(dirs))
+        goggles = build()
         walls = []
         for index in _cycle_order(seed, number):
             dataset, dev = pool[index]
@@ -284,6 +312,7 @@ def run_cached(run: Run, n: int, seed: int, seconds: float, trace: bool, workdir
     run.details["cycles"] = cycles
     run.details["cache.revisit_share"] = CACHE_REVISITS / (CACHE_REVISITS + 1)
     if not trace:
+        _measured(run, build)
         return
     tracer = Tracer()
     tracer.install()
@@ -398,7 +427,11 @@ def run_serve(run: Run, n: int, seed: int, seconds: float, trace: bool, workdir:
     dev = corpus.sample_dev_set(per_class=DEV_PER_CLASS, seed=TASK_SEED)
     run.digest.update(np.ascontiguousarray(corpus.images).tobytes())
     schedule = _schedule(seed, seconds / 2 if trace else seconds, run)
-    run.setup_samples, server = _timed_setups(lambda: _Server(corpus, dev))
+
+    def build():
+        return _Server(corpus, dev)
+
+    server = _setup(run, build)
     try:
         drive = _drive(server, schedule, run, workdir)
         _reconcile(run, drive, server)
@@ -414,6 +447,7 @@ def run_serve(run: Run, n: int, seed: int, seconds: float, trace: bool, workdir:
     run.details["batches"] = server.service.n_batches
     run.details["refits"] = server.service.online_stats["refits"]
     if not trace:
+        _measured(run, build)
         return
     server = _Server(corpus, dev)
     tracer = Tracer()
@@ -427,10 +461,11 @@ def run_serve(run: Run, n: int, seed: int, seconds: float, trace: bool, workdir:
     run.attempted += traced["sent"]
     run.layer = LayerInputs(
         tracer=tracer, ops=len(tracer.op_walls), op_wall_s=sum(tracer.op_walls),
-        # Two services fed the same trace: compare medians, which the
-        # refit-driven tail of each pass does not move.
-        traced_e2e_s=nearest_rank(traced["latencies"], 0.5),
-        untraced_e2e_s=nearest_rank(drive["latencies"], 0.5),
+        # Two services fed the same trace: compare mean latencies.  A pass
+        # is half the run, and up to half its requests wait behind refits,
+        # so its median can fall on either side of that gap.
+        traced_e2e_s=statistics.fmean(traced["latencies"]),
+        untraced_e2e_s=statistics.fmean(drive["latencies"]),
         client={"submit_s": traced["submit_s"], "send_lag_s": traced["send_lag_s"]},
         sent=traced["sent"], polls=traced["polls"], rows_labeled=traced["rows_done"],
     )
