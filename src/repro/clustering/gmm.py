@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from repro.core.inference.base_gmm import kmeans_plusplus_init
+from repro.utils.numeric import logsumexp
 from repro.utils.rng import spawn_rng
 from repro.utils.validation import check_array
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from repro.utils.numeric import logsumexp
 from repro.utils.rng import spawn_rng
 from repro.utils.validation import check_array
 

@@ -6,7 +6,9 @@ linearly with N.  The engine instead drives the backbone in fixed-size
 chunks: peak memory is bounded by ``batch_size`` images (plus the
 retained pool outputs, which are the stage's product), and the results
 are bitwise identical because every layer of the backbone is
-per-sample independent (conv / ReLU / max-pool, no batch statistics).
+per-sample independent (conv / ReLU / max-pool, no batch statistics):
+a sample's conv outputs are rows of the same multi-row GEMMs whatever
+the chunk around them (``repro.nn.functional.conv2d_nhwc``).
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from repro.engine.tiling import (
     unique_unit_prototypes,
     unit_location_vectors,
 )
-from repro.nn.vgg import VGG16
+from repro.nn.vgg import BACKBONE_KERNEL, VGG16
 from repro.utils.validation import check_images
 
 __all__ = [
@@ -208,6 +208,7 @@ class PrototypeAffinitySource:
         return {
             "source": self.name,
             "vgg": repr(self.model.config),
+            "backbone": BACKBONE_KERNEL,
             "top_z": self.top_z,
             "layers": self.layers,
         }
@@ -428,4 +429,6 @@ def hog_source(config: object | None = None) -> FeatureCosineSource:
 
 def logits_source(model: VGG16) -> FeatureCosineSource:
     """The VGG-logits ablation backend (§5.1.5)."""
-    return FeatureCosineSource(model.logits, "vgg-logits", {"vgg": repr(model.config)})
+    return FeatureCosineSource(
+        model.logits, "vgg-logits", {"vgg": repr(model.config), "backbone": BACKBONE_KERNEL}
+    )

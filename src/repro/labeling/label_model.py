@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.labeling.lf import ABSTAIN
+from repro.utils.numeric import logsumexp
 
 __all__ = ["LabelModel", "LabelModelResult", "majority_vote"]
 

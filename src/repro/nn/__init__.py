@@ -13,9 +13,10 @@ from repro.nn.receptive_field import (
     receptive_field_box,
     vgg16_pool_geometry,
 )
-from repro.nn.vgg import VGG16, VGGConfig
+from repro.nn.vgg import BACKBONE_KERNEL, VGG16, VGGConfig
 
 __all__ = [
+    "BACKBONE_KERNEL",
     "Conv2d",
     "Flatten",
     "Layer",

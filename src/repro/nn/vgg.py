@@ -26,12 +26,18 @@ from repro.nn.weights import conv_orthogonal, first_layer_bank, linear_orthogona
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_images
 
-__all__ = ["VGGConfig", "VGG16", "VGG16_BLOCKS", "VGG16_CHANNELS"]
+__all__ = ["VGGConfig", "VGG16", "VGG16_BLOCKS", "VGG16_CHANNELS", "BACKBONE_KERNEL"]
 
 # Configuration "D" of Simonyan & Zisserman (2014): convs per block and
 # full-width channel counts.
 VGG16_BLOCKS: tuple[int, ...] = (2, 2, 3, 3, 3)
 VGG16_CHANNELS: tuple[int, ...] = (64, 128, 256, 512, 512)
+
+# Version tag of the conv kernel behind the forward pass.  Pool features
+# depend on it in the last ulp (the order of the GEMM accumulation), so
+# every cache key over VGG features folds it in; change it whenever the
+# kernel's rounding changes.
+BACKBONE_KERNEL = "nhwc-shifted-gemm/1"
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,13 @@ class VGG16:
         channels = cfg.block_channels()
         seed = cfg.seed
         layers: list = []
-        self._pool_indices: list[int] = []
+        # Per block, the (taps, bias) of each conv for the channels-last
+        # forward; each bias is the layer's array, calibrated in place below.
+        self._blocks: list[list[tuple[np.ndarray, np.ndarray]]] = []
         in_ch = cfg.in_channels
         conv_index = 0
         for block, (n_convs, out_ch) in enumerate(zip(VGG16_BLOCKS, channels)):
+            self._blocks.append([])
             for conv_in_block in range(n_convs):
                 if conv_index == 0:
                     weight = first_layer_bank(out_ch, in_ch, size=3, seed=derive_seed(seed, "conv1"))
@@ -102,11 +111,11 @@ class VGG16:
                 bias = np.zeros(out_ch)
                 name = f"conv{block + 1}_{conv_in_block + 1}"
                 layers.append(Conv2d(weight, bias, stride=1, padding=1, name=name))
+                self._blocks[-1].append((F.conv_taps(weight), bias))
                 layers.append(ReLU(name=f"relu{block + 1}_{conv_in_block + 1}"))
                 in_ch = out_ch
                 conv_index += 1
             layers.append(MaxPool2d(kernel=2, name=f"pool{block + 1}"))
-            self._pool_indices.append(len(layers) - 1)
         self.features = Sequential(layers, name="features")
         self._final_channels = in_ch
         if cfg.calibration_sparsity > 0:
@@ -142,24 +151,42 @@ class VGG16:
         halves at every pool.  These are the filter maps from which
         GOGGLES extracts prototypes (Algorithm 1, line 2).
         """
-        x = check_images(images)
-        pools: list[np.ndarray] = []
-        for i, layer in enumerate(self.features):
-            x = layer(x)
-            if i in self._pool_indices:
-                pools.append(x)
-        return pools
+        return self._forward(check_images(images), self.N_POOL_LAYERS)
 
     def pool_features(self, images: np.ndarray, layer: int) -> np.ndarray:
         """Return the filter map of max-pool layer ``layer`` (0-based)."""
         if not 0 <= layer < self.N_POOL_LAYERS:
             raise ValueError(f"layer must be in [0, {self.N_POOL_LAYERS}), got {layer}")
-        x = check_images(images)
-        for i, module in enumerate(self.features):
-            x = module(x)
-            if i == self._pool_indices[layer]:
-                return x
-        raise AssertionError("pool layer index out of range")  # pragma: no cover
+        return self._forward(check_images(images), layer + 1)[layer]
+
+    def _forward(self, x: np.ndarray, n_blocks: int) -> list[np.ndarray]:
+        """Channels-last forward through the first ``n_blocks`` blocks.
+
+        Activations live in zero-bordered ``(N, H+2, W+2, C)`` buffers.
+        Each 3x3 conv runs :func:`F.conv2d_nhwc` straight into the
+        interior of the next conv's bordered buffer: its output row for
+        padded position ``q`` lands at ``q + W+3``, the junk rows fall on
+        the border, and re-zeroing the border leaves the next input
+        ready.  Each pool map is an ``(N, C, H, W)`` view of a contiguous
+        ``(N, H, W, C)`` buffer.
+        """
+        dtype = x.dtype
+        feed = x.transpose(0, 2, 3, 1)
+        pools: list[np.ndarray] = []
+        for block in self._blocks[:n_blocks]:
+            padded = _bordered(feed)
+            for taps, bias in block:
+                taps, bias = taps.astype(dtype, copy=False), bias.astype(dtype, copy=False)
+                n, hp, wp, _ = padded.shape
+                out = np.empty((n, hp, wp, taps.shape[3]), dtype=dtype)
+                rows = out.reshape(-1, taps.shape[3])
+                F.conv2d_nhwc(padded, taps, rows[wp + 1 : rows.shape[0] - wp - 1], bias, relu=True)
+                for border in (out[:, 0], out[:, -1], out[:, :, 0], out[:, :, -1]):
+                    border.fill(0)
+                padded = out
+            feed = F.maxpool2d_nhwc(padded[:, 1:-1, 1:-1])
+            pools.append(feed.transpose(0, 3, 1, 2))
+        return pools
 
     def _ensure_fc1(self, flat_features: int) -> Linear:
         if self._fc1 is None or self._fc1.weight.shape[1] != flat_features:
@@ -228,3 +255,12 @@ class VGG16:
                 lines.append(f"  {layer.name}: 2x2 max pool")
         lines.append(f"  fc: ... -> {self._fc_hidden} -> {self._fc_hidden} -> {self.config.n_logits}")
         return "\n".join(lines)
+
+
+def _bordered(x: np.ndarray) -> np.ndarray:
+    """``(N, H, W, C)`` -> a new C-contiguous ``(N, H+2, W+2, C)`` buffer
+    holding ``x`` inside a one-pixel zero border."""
+    n, h, w, c = x.shape
+    out = np.zeros((n, h + 2, w + 2, c), dtype=x.dtype)
+    out[:, 1:-1, 1:-1] = x
+    return out

@@ -49,7 +49,6 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.core.inference.base_gmm import DiagonalGMM, GMMParams
 from repro.core.inference.bernoulli import BernoulliParams, one_hot_encode_lp
@@ -58,6 +57,7 @@ from repro.datasets.base import DevSet
 from repro.engine.cache import hash_arrays
 from repro.obs import MetricsRegistry, default_registry, span
 from repro.online.stats import BernoulliStats, GMMStats, step_size
+from repro.utils.numeric import logsumexp
 from repro.utils.validation import check_images
 
 if TYPE_CHECKING:  # imported lazily to keep core/goggles import-cycle free

@@ -424,8 +424,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> bytes | None:
-        """The request body, or ``None`` after an already-sent 413."""
-        length = int(self.headers.get("Content-Length", "0") or 0)
+        """The request body, or ``None`` after an already-sent 400 or 413."""
+        header = self.headers.get("Content-Length", "0") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._error(400, "bad_request", f"Content-Length must be a non-negative integer, got {header!r}")
+            return None
         if length > self.server.max_body_bytes:
             self._error(
                 413, "payload_too_large",

@@ -1,5 +1,6 @@
 """Shared utilities: seeding, validation, and small numeric helpers."""
 
+from repro.utils.numeric import logsumexp
 from repro.utils.rng import spawn_rng, derive_seed
 from repro.utils.validation import (
     check_array,
@@ -9,6 +10,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "logsumexp",
     "spawn_rng",
     "derive_seed",
     "check_array",

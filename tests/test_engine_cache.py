@@ -17,7 +17,10 @@ from repro.engine import (
     PrototypeAffinitySource,
     hash_arrays,
     hash_params,
+    logits_source,
 )
+from repro.nn import BACKBONE_KERNEL, Conv2d, MaxPool2d
+from repro.nn import functional as F
 
 
 class TestHashing:
@@ -191,6 +194,62 @@ class TestEngineCaching:
         second = engine.build(tiny_images)
         assert engine.cache.stats.total_hits >= 1
         np.testing.assert_array_equal(first.values, second.values)
+
+
+def _im2col_conv2d(x, weight, bias, stride, padding):
+    """The im2col + matmul convolution the shifted-GEMM kernel replaced:
+    one GEMM over ``C_in*k*k`` patch columns."""
+    n, c_in, _, _ = x.shape
+    c_out, _, k, _ = weight.shape
+    windows = np.lib.stride_tricks.sliding_window_view(F.pad2d(x, padding), (k, k), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (N, C_in, H_out, W_out, k, k)
+    h_out, w_out = windows.shape[2:4]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, h_out * w_out, c_in * k * k)
+    out = cols @ weight.reshape(c_out, -1).T + bias
+    return out.transpose(0, 2, 1).reshape(n, c_out, h_out, w_out)
+
+
+def _im2col_pool_features(model, images, layers, batch_size=None):
+    """Pool maps of ``model`` computed with the im2col kernel."""
+    x, pools = images, []
+    for layer in model.features:
+        if isinstance(layer, Conv2d):
+            x = _im2col_conv2d(x, layer.weight, layer.bias, layer.stride, layer.padding)
+        else:
+            x = layer(x)
+            if isinstance(layer, MaxPool2d):
+                pools.append(x)
+    return {layer: pools[layer] for layer in layers}
+
+
+class _PreBumpSource(PrototypeAffinitySource):
+    """The VGG source under its signature from before the backbone tag."""
+
+    def signature(self):
+        signature = super().signature()
+        signature.pop("backbone", None)
+        return signature
+
+
+class TestBackboneKernelNamespace:
+    """Pool features depend on the conv kernel in the last ulp, so an
+    artifact cache filled by the im2col backbone must miss."""
+
+    def test_im2col_filled_cache_misses(self, tmp_path, vgg, tiny_images, monkeypatch):
+        config = EngineConfig(cache_dir=str(tmp_path))
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.engine.source.extract_pool_features", _im2col_pool_features)
+            old = AffinityEngine(_PreBumpSource(vgg, top_z=2), config).build(tiny_images, keep_state=False)
+        engine = AffinityEngine(PrototypeAffinitySource(vgg, top_z=2), config)
+        new = engine.build(tiny_images, keep_state=False)
+        assert engine.cache.stats.total_hits == 0
+        assert engine.cache.stats.misses.get("affinity") == 1
+        assert not np.array_equal(new.values, old.values)  # the features did move
+        np.testing.assert_allclose(new.values, old.values, rtol=0, atol=1e-12)
+
+    def test_both_vgg_sources_carry_the_tag(self, vgg):
+        assert PrototypeAffinitySource(vgg).signature()["backbone"] == BACKBONE_KERNEL
+        assert logits_source(vgg).signature()["backbone"] == BACKBONE_KERNEL
 
 
 class TestSizeBudget:

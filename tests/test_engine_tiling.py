@@ -51,6 +51,29 @@ class TestChunkedExtraction:
         for layer in range(vgg.N_POOL_LAYERS):
             np.testing.assert_array_equal(chunked[layer], whole[layer])
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 32])
+    def test_batch_invariant_at_scale(self, vgg, batch_size):
+        """N=40 at 64x64: every chunking gives the whole-batch maps
+        bit-for-bit, in the channels-last layout."""
+        images = np.random.default_rng(11).random((40, 3, 64, 64))
+        whole = vgg.forward_pools(images)
+        chunked = extract_pool_features(vgg, images, batch_size=batch_size)
+        for layer in range(vgg.N_POOL_LAYERS):
+            np.testing.assert_array_equal(chunked[layer], whole[layer])
+            for pool in (whole[layer], chunked[layer]):
+                assert pool.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def test_smallest_image_one_per_chunk(self, vgg):
+        """32x32 is the smallest image through all five pools (the conv5
+        input is 2x2); one image per chunk still runs every conv as a
+        multi-row GEMM, so it matches the whole batch exactly."""
+        images = np.random.default_rng(12).random((5, 3, 32, 32))
+        whole = vgg.forward_pools(images)
+        chunked = extract_pool_features(vgg, images, batch_size=1)
+        for layer in range(vgg.N_POOL_LAYERS):
+            np.testing.assert_array_equal(chunked[layer], whole[layer])
+            assert chunked[layer].transpose(0, 2, 3, 1).flags.c_contiguous
+
     def test_layer_subset(self, vgg, tiny_images):
         out = extract_pool_features(vgg, tiny_images, layers=(1, 4), batch_size=2)
         assert set(out) == {1, 4}

@@ -29,6 +29,23 @@ def _naive_conv2d(x, weight, bias=None, stride=1, padding=0):
     return out
 
 
+# (stride, padding) x kernel size x dtype; the 3x3 float64 cases keep
+# their plain "stride-padding" ids.
+_CONV_CASES = [
+    pytest.param(
+        stride,
+        padding,
+        kernel,
+        dtype,
+        atol,
+        id="-".join([str(stride), str(padding)] + ([f"k{kernel}"] if kernel != 3 else []) + suffix),
+    )
+    for dtype, atol, suffix in [(np.float64, 1e-10, []), (np.float32, 1e-5, ["float32"])]
+    for kernel in (1, 3, 5)
+    for stride, padding in [(1, 0), (1, 1), (2, 0), (2, 1)]
+]
+
+
 class TestPad2d:
     def test_zero_padding_noop(self):
         x = np.random.default_rng(0).random((1, 2, 4, 4))
@@ -46,34 +63,34 @@ class TestPad2d:
             F.pad2d(np.ones((1, 1, 2, 2)), -1)
 
 
-class TestIm2col:
-    def test_shape(self):
-        x = np.random.default_rng(0).random((2, 3, 8, 8))
-        cols = F.im2col(x, kernel=3, stride=1, padding=1)
-        assert cols.shape == (2, 64, 27)
+class TestConv2d:
+    @pytest.mark.parametrize("stride,padding,kernel,dtype,atol", _CONV_CASES)
+    def test_matches_scipy_reference(self, stride, padding, kernel, dtype, atol):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((2, 3, 9, 9)).astype(dtype)
+        weight = rng.standard_normal((4, 3, kernel, kernel)).astype(dtype)
+        bias = rng.standard_normal(4).astype(dtype)
+        ours = F.conv2d(x, weight, bias, stride=stride, padding=padding)
+        assert ours.dtype == dtype
+        x64, weight64, bias64 = (a.astype(np.float64) for a in (x, weight, bias))
+        reference = _naive_conv2d(x64, weight64, bias64, stride=stride, padding=padding)
+        assert ours.shape == reference.shape
+        np.testing.assert_allclose(ours, reference, atol=atol)
 
-    def test_values_match_patches(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        cols = F.im2col(x, kernel=2, stride=2, padding=0)
-        # First patch is the top-left 2x2 block.
-        np.testing.assert_array_equal(cols[0, 0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(cols[0, 3], [10, 11, 14, 15])
+    def test_output_is_channels_last(self):
+        rng = np.random.default_rng(1)
+        out = F.conv2d(rng.standard_normal((2, 3, 9, 9)), rng.standard_normal((4, 3, 3, 3)), padding=1)
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_kernel_too_large(self):
         with pytest.raises(ValueError, match="does not fit"):
-            F.im2col(np.ones((1, 1, 4, 4)), kernel=5)
+            F.conv2d(np.ones((1, 1, 4, 4)), np.ones((1, 1, 5, 5)))
 
-
-class TestConv2d:
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
-    def test_matches_scipy_reference(self, stride, padding):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((2, 3, 9, 9))
-        weight = rng.standard_normal((4, 3, 3, 3))
-        bias = rng.standard_normal(4)
-        ours = F.conv2d(x, weight, bias, stride=stride, padding=padding)
-        reference = _naive_conv2d(x, weight, bias, stride=stride, padding=padding)
-        np.testing.assert_allclose(ours, reference, atol=1e-10)
+    def test_nhwc_kernel_rejects_wrong_out_shape(self):
+        padded = np.zeros((1, 6, 6, 2))
+        taps = F.conv_taps(np.ones((3, 2, 3, 3)))
+        with pytest.raises(ValueError, match="out must have shape"):
+            F.conv2d_nhwc(padded, taps, np.empty((36, 3)))
 
     def test_identity_kernel(self):
         x = np.random.default_rng(2).random((1, 1, 5, 5))
@@ -121,6 +138,17 @@ class TestPooling:
         out1 = F.maxpool2d(x, kernel=2)
         out2 = F.maxpool2d(x + 1.0, kernel=2)
         np.testing.assert_allclose(out2, out1 + 1.0)
+
+    @pytest.mark.parametrize("kernel,stride", [(2, None), (3, 2), (2, 1)])
+    def test_maxpool_nhwc_matches_windows(self, kernel, stride):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 7, 9, 3))
+        out = F.maxpool2d_nhwc(x, kernel, stride)
+        step = stride or kernel
+        for i in range(out.shape[1]):
+            for j in range(out.shape[2]):
+                window = x[:, i * step : i * step + kernel, j * step : j * step + kernel]
+                np.testing.assert_array_equal(out[:, i, j], window.max(axis=(1, 2)))
 
     def test_global_max_pool(self):
         rng = np.random.default_rng(6)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import VGG16, VGGConfig
+from repro.nn import VGG16, MaxPool2d, VGGConfig
 from repro.nn.vgg import VGG16_BLOCKS, VGG16_CHANNELS
 
 
@@ -35,6 +35,32 @@ class TestArchitecture:
     def test_n_parameters_positive(self, vgg, tiny_images):
         vgg.logits(tiny_images)  # materialise fc1
         assert vgg.n_parameters() > 10_000
+
+
+class TestChannelsLastForward:
+    def test_matches_layer_by_layer_stack(self, vgg):
+        """The fused channels-last forward equals running the NCHW layer
+        objects one by one (same conv kernel, same GEMM rows)."""
+        x = np.random.default_rng(1).random((3, 3, 40, 36))
+        reference = []
+        y = x
+        for layer in vgg.features:
+            y = layer(y)
+            if isinstance(layer, MaxPool2d):
+                reference.append(y)
+        for pool, expected in zip(vgg.forward_pools(x), reference):
+            np.testing.assert_array_equal(pool, expected)
+
+    def test_float32_forward_stays_float32(self, vgg, tiny_images):
+        pools32 = vgg.forward_pools(tiny_images.astype(np.float32))
+        pools64 = vgg.forward_pools(tiny_images)
+        for pool32, pool64 in zip(pools32, pools64):
+            assert pool32.dtype == np.float32
+            np.testing.assert_allclose(pool32, pool64, rtol=1e-4, atol=1e-4)
+
+    def test_image_too_small_for_five_pools(self, vgg):
+        with pytest.raises(ValueError, match="does not fit"):
+            vgg.forward_pools(np.zeros((1, 3, 16, 16)))
 
 
 class TestDeterminism:

@@ -8,10 +8,12 @@ shed with 429 + ``Retry-After`` instead of being absorbed.
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -182,6 +184,38 @@ class TestRoutes:
         code, payload, _ = _post(f"{server.url}/submit", body, "application/json")
         assert code == 400
         assert "(M, C, H, W)" in payload["error"]["message"]
+
+
+def _post_with_length(url: str, path: str, content_length: str) -> tuple[int, dict]:
+    """POST an empty body under a hand-written ``Content-Length`` header."""
+    parts = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10.0)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/octet-stream")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestContentLength:
+    """A malformed ``Content-Length`` is the client's fault: 400, not a
+    dropped connection or a handler thread blocked reading to EOF."""
+
+    @pytest.mark.parametrize("content_length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, http_setup, content_length):
+        server, *_ = http_setup
+        code, payload = _post_with_length(
+            server.url, f"/v1/tenants/{server.default_tenant}/submit", content_length
+        )
+        assert code == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert "Content-Length" in payload["error"]["message"]
+        # The server keeps serving afterwards.
+        assert _get(f"{server.url}/healthz")[0] == 200
 
 
 class TestBackPressure:
