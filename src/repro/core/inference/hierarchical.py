@@ -17,25 +17,29 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.affinity import AffinityMatrix
-from repro.core.inference.base_gmm import DiagonalGMM, GMMFitResult, GMMParams
+from repro.core.inference.base_gmm import GMMFitResult, GMMParams, fit_stacked, stack_blocks
 from repro.core.inference.bernoulli import (
     BernoulliFitResult,
     BernoulliMixture,
     BernoulliParams,
     one_hot_encode_lp,
 )
-from repro.utils.rng import derive_seed
+from repro.utils.rng import derive_seed, spawn_rng
 
 __all__ = [
     "HierarchicalConfig",
     "HierarchicalResult",
     "HierarchicalModel",
+    "BASE_FIT_CHUNK",
     "fit_base_function",
+    "fit_base_functions",
     "fit_all_base_functions",
+    "function_chunks",
     "fit_ensemble",
     "complete_hierarchy",
     "warn_if_reinitialized",
@@ -133,14 +137,30 @@ class HierarchicalResult:
         return scores
 
 
-def fit_base_function(
-    block: np.ndarray,
+#: Functions per stacked EM call in :func:`fit_all_base_functions` (and
+#: per process-pool task).  A chunk's ``[X, X²]`` is ≈1.6 MB at N=160,
+#: which stays in L2; results do not depend on it (slice invariance).
+BASE_FIT_CHUNK = 4
+
+
+def function_chunks(n_functions: int) -> list[range]:
+    """The fixed ``BASE_FIT_CHUNK``-sized function slices executors schedule."""
+    return [range(lo, min(lo + BASE_FIT_CHUNK, n_functions)) for lo in range(0, n_functions, BASE_FIT_CHUNK)]
+
+
+def fit_base_functions(
+    blocks: Sequence[np.ndarray],
     config: HierarchicalConfig,
-    function_index: int,
-    init: GMMParams | np.ndarray | None = None,
-) -> GMMFitResult:
-    """Fit the base GMM of one affinity function (module-level: picklable,
-    so process-pool workers can run it — see ``repro.engine.inference``).
+    function_indices: Sequence[int],
+    inits: "Sequence[GMMParams | np.ndarray | None] | None" = None,
+) -> tuple[GMMFitResult, ...]:
+    """Fit the base GMMs of several affinity functions as one stacked EM.
+
+    ``blocks[i]`` is function ``function_indices[i]``'s block; its fit
+    uses that function's own ``derive_seed`` streams, so any slice of
+    functions gives the same per-function results as the full stack.
+    Module-level (picklable), so process-pool and distributed workers
+    run it on their own slices.
 
     A degenerate fit (every posterior argmax in one component — a
     collapsed EM run carrying no class signal) is detected and retried
@@ -148,23 +168,42 @@ def fit_base_function(
     either way so callers can surface a warning.  If the retry collapses
     too, the higher-likelihood run is kept.
     """
+    xx = stack_blocks(blocks)
 
-    def make(seed: int) -> DiagonalGMM:
-        return DiagonalGMM(
+    def fit(stack: np.ndarray, scope: str, functions: Sequence[int], starts) -> list[GMMFitResult]:
+        rngs = [spawn_rng(derive_seed(config.seed, scope, f), "diag-gmm") for f in functions]
+        return fit_stacked(
+            stack,
+            starts,
+            rngs,
             n_components=config.n_classes,
             max_iter=config.base_max_iter,
             tol=config.base_tol,
             variance_floor=config.variance_floor,
-            seed=seed,
         )
 
-    result = make(derive_seed(config.seed, "base", function_index)).fit(block, init=init)
-    if not result.degenerate:
-        return result
-    retry = make(derive_seed(config.seed, "base-reinit", function_index)).fit(block)
-    if retry.degenerate and retry.log_likelihood <= result.log_likelihood:
-        return replace(result, reinitialized=True)
-    return replace(retry, reinitialized=True)
+    functions = [int(f) for f in function_indices]
+    results = fit(xx, "base", functions, inits if inits is not None else [None] * len(functions))
+    collapsed = [i for i, result in enumerate(results) if result.degenerate]
+    if collapsed:
+        retried = [functions[i] for i in collapsed]
+        retries = fit(xx[collapsed], "base-reinit", retried, [None] * len(collapsed))
+        for i, retry in zip(collapsed, retries):
+            result = results[i]
+            kept = result if retry.degenerate and retry.log_likelihood <= result.log_likelihood else retry
+            results[i] = replace(kept, reinitialized=True)
+    return tuple(results)
+
+
+def fit_base_function(
+    block: np.ndarray,
+    config: HierarchicalConfig,
+    function_index: int,
+    init: GMMParams | np.ndarray | None = None,
+) -> GMMFitResult:
+    """Fit the base GMM of one affinity function: the F = 1 slice of
+    :func:`fit_base_functions`."""
+    return fit_base_functions([block], config, [function_index], [init])[0]
 
 
 def fit_all_base_functions(
@@ -173,27 +212,32 @@ def fit_all_base_functions(
     n_jobs: int = 1,
     initializers: "list[np.ndarray] | None" = None,
 ) -> tuple[np.ndarray, tuple[GMMFitResult, ...]]:
-    """Fit every base GMM (serial or thread fan-out) and concatenate LP.
+    """Fit every base GMM in stacked chunks and concatenate LP.
 
     The single serial/thread implementation shared by
     :class:`HierarchicalModel` and ``repro.engine.inference`` (which
-    adds a process-pool branch on top).  ``initializers`` optionally
-    warm-starts function f from ``initializers[f]`` responsibilities.
-    Collapsed fits warn here, once, whatever the caller.
+    adds process and distributed branches on top).  Functions run in
+    :data:`BASE_FIT_CHUNK`-sized stacks — ``n_jobs > 1`` maps the
+    chunks over a thread pool — and a sparse matrix densifies one chunk
+    at a time.  ``initializers`` optionally warm-starts function f from
+    ``initializers[f]`` responsibilities.  Collapsed fits warn here,
+    once, whatever the caller.
     """
     alpha = affinity.n_functions
+    chunks = function_chunks(alpha)
 
-    def fit_one(f: int) -> GMMFitResult:
-        init = initializers[f] if initializers is not None else None
-        return fit_base_function(affinity.block(f), config, f, init=init)
+    def fit_chunk(chunk: range) -> tuple[GMMFitResult, ...]:
+        inits = [initializers[f] for f in chunk] if initializers is not None else None
+        return fit_base_functions([affinity.block(f) for f in chunk], config, chunk, inits)
 
-    if n_jobs > 1 and alpha > 1:
+    if n_jobs > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(n_jobs, alpha)) as pool:
-            results = tuple(pool.map(fit_one, range(alpha)))
+        with ThreadPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
+            fitted = list(pool.map(fit_chunk, chunks))
     else:
-        results = tuple(fit_one(f) for f in range(alpha))
+        fitted = [fit_chunk(chunk) for chunk in chunks]
+    results = tuple(result for chunk_results in fitted for result in chunk_results)
     warn_if_reinitialized(results)
     label_predictions = np.concatenate([r.responsibilities for r in results], axis=1)
     assert label_predictions.shape == (affinity.n_examples, alpha * config.n_classes)
@@ -283,9 +327,9 @@ class HierarchicalModel:
         Returns the concatenated soft LP matrix ``(N, α·K)`` and the
         per-function fit results.  Base models are independent — "in
         practice ... we can parallelize all of the base models using
-        different slices of the affinity matrix" (§5.3) — so
-        ``n_jobs > 1`` fans the loop out over a thread pool (the EM
-        inner loops are numpy-bound and release the GIL).
+        different slices of the affinity matrix" (§5.3) — so they run
+        as stacked chunks, and ``n_jobs > 1`` maps the chunks over a
+        thread pool (the kernel's matmuls release the GIL).
         """
         return fit_all_base_functions(affinity, self.config, n_jobs=n_jobs)
 

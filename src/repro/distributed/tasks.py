@@ -20,7 +20,8 @@ into pure, content-addressed tasks that any worker can compute:
   merged matrix is bit-identical to a single-machine build.
 * ``"base-fit"`` — one per-affinity-function base GMM fit (paper §4,
   "we can parallelize all of the base models", §5.3).  The worker runs
-  :func:`repro.core.inference.hierarchical.fit_base_function`, which
+  :func:`repro.core.inference.hierarchical.fit_base_function` — the
+  F = 1 slice of the stacked EM kernel every executor runs — which
   derives the function's own seed stream, so the result is independent
   of which worker computes it, in which order, after how many retries.
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.inference.base_gmm import GMMFitResult
+from repro.core.inference.base_gmm import BASE_EM_KERNEL, GMMFitResult
 from repro.core.inference.hierarchical import HierarchicalConfig, fit_base_function
 from repro.engine.cache import ArtifactCache, hash_arrays, hash_params
 from repro.engine.features import iter_batches
@@ -165,6 +166,7 @@ def base_fit_task(
         "config": repr(config),
         "function_index": int(function_index),
         "warm": init is not None,
+        "kernel": BASE_EM_KERNEL,
     }
     task_id = shard_key("base-fit", hash_arrays(*arrays), params)
     return ShardTask(

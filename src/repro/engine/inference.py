@@ -10,13 +10,17 @@ generative model of paper §4.1)::
 
 Stage 1 is embarrassingly parallel — "we can parallelize all of the
 base models using different slices of the affinity matrix" (§5.3).
-``executor="thread"`` fans the fits over a thread pool (the EM inner
-loops are BLAS-bound and release the GIL); ``executor="process"`` side-
-steps the GIL entirely with a ``ProcessPoolExecutor``, handing workers
-the affinity matrix through POSIX shared memory so the O(α·N²) values
-are never pickled; ``executor="distributed"`` leases one base-fit shard
+Every executor runs the one stacked EM kernel
+(:func:`~repro.core.inference.hierarchical.fit_base_functions`) and
+only schedules slices of the function list: ``executor="thread"`` maps
+fixed chunks of functions over a thread pool (the kernel's matmuls are
+BLAS-bound and release the GIL); ``executor="process"`` side-steps the
+GIL entirely with a ``ProcessPoolExecutor``, handing workers the
+affinity matrix through POSIX shared memory so the O(α·N²) values are
+never pickled; ``executor="distributed"`` leases one base-fit shard
 per affinity function to coordinator/worker cluster processes that may
-live on other machines (``repro.distributed``).  Every mode consumes
+live on other machines (``repro.distributed``).  A stacked fit over
+any slice equals that slice of the full stack, and every mode consumes
 the same ``derive_seed`` streams, so posteriors are **bit-identical**
 regardless of executor.
 
@@ -39,7 +43,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix, densify_topk_rows
-from repro.core.inference.base_gmm import GMMFitResult, GMMParams
+from repro.core.inference.base_gmm import BASE_EM_KERNEL, GMMFitResult
 from repro.core.inference.bernoulli import (
     BernoulliFitResult,
     BernoulliParams,
@@ -50,7 +54,8 @@ from repro.core.inference.hierarchical import (
     HierarchicalResult,
     complete_hierarchy,
     fit_all_base_functions,
-    fit_base_function,
+    fit_base_functions,
+    function_chunks,
     warn_if_reinitialized,
 )
 from repro.engine.cache import ArtifactCache, hash_arrays
@@ -121,49 +126,51 @@ def warm_start_responsibilities(state: InferenceState, affinity: AffinityMatrix)
     return inits
 
 
-def _fit_block_from_shm(
+def _fit_chunk_from_shm(
     shm_name: str,
     shape: tuple[int, int],
     dtype: str,
-    function_index: int,
+    functions: range,
     config: HierarchicalConfig,
-    init: GMMParams | np.ndarray | None,
-) -> GMMFitResult:
-    """Process-pool worker: attach the shared affinity values, fit one block.
+    inits: list[np.ndarray] | None,
+) -> tuple[GMMFitResult, ...]:
+    """Process-pool worker: attach the shared affinity values, fit one chunk.
 
     Module-level (picklable) by construction; the worker copies its
-    N×N block out of shared memory so the fit never holds the segment
-    alive past this call.
+    functions' N×N blocks out of shared memory so the fit never holds
+    the segment alive past this call.
     """
     shm = shared_memory.SharedMemory(name=shm_name)
     try:
         values = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
         n = shape[0]
-        block = np.array(values[:, function_index * n : (function_index + 1) * n], copy=True)
+        blocks = [np.array(values[:, f * n : (f + 1) * n], copy=True) for f in functions]
     finally:
         shm.close()
-    return fit_base_function(block, config, function_index, init=init)
+    return fit_base_functions(blocks, config, functions, inits)
 
 
-def _fit_block_from_csr(
-    data: np.ndarray,
-    indices: np.ndarray,
-    fill: np.ndarray,
+def _fit_chunk_from_csr(
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     n_examples: int,
-    function_index: int,
+    functions: range,
     config: HierarchicalConfig,
-    init: GMMParams | np.ndarray | None,
-) -> GMMFitResult:
-    """Process-pool worker for the sparse path: densify one CSR block, fit.
+    inits: list[np.ndarray] | None,
+) -> tuple[GMMFitResult, ...]:
+    """Process-pool worker for the sparse path: densify a chunk's CSR blocks, fit.
 
     Sparse blocks travel as their O(N·k) CSR arrays instead of a shared
     O(α·N²) dense segment — pickling N·k floats per function is already
     sublinear in the dense footprint, which is the point of the sparse
     path; densification happens worker-side with the shared scatter
-    kernel, so the fitted block is bitwise the one serial mode sees.
+    kernel, so the fitted blocks are bitwise the ones serial mode sees.
     """
-    block = densify_topk_rows(data, indices, fill, n_examples)
-    return fit_base_function(block, config, function_index, init=init)
+    dense = [densify_topk_rows(data, indices, fill, n_examples) for data, indices, fill in blocks]
+    return fit_base_functions(dense, config, functions, inits)
+
+
+def _chunk_inits(inits: list[np.ndarray] | None, chunk: range) -> list[np.ndarray] | None:
+    return [inits[f] for f in chunk] if inits is not None else None
 
 
 class InferenceEngine:
@@ -264,9 +271,9 @@ class InferenceEngine:
         # Every value-affecting input: the full hyper-parameter set and,
         # for warm starts, the content of the initialisation (a warm fit
         # may settle in a slightly different optimum than a cold one, so
-        # the two must never share a key).  The executor is deliberately
-        # excluded: it cannot change values.
-        params: dict[str, object] = {"stage": "inference", **asdict(self.config)}
+        # the two must never share a key) and the base-EM kernel tag.
+        # The executor is deliberately excluded: it cannot change values.
+        params: dict[str, object] = {"stage": "inference", "base_em": BASE_EM_KERNEL, **asdict(self.config)}
         if warm is not None:
             params["warm"] = hash_arrays(warm.label_predictions, warm.ensemble.weights, warm.ensemble.probs)
         return params
@@ -317,7 +324,7 @@ class InferenceEngine:
     def _fit_base_models_process(
         self, affinity: AffinityMatrix, inits: list[np.ndarray] | None
     ) -> tuple[GMMFitResult, ...]:
-        """Fan the base fits out over processes, affinity via shared memory.
+        """Fan the base-fit chunks out over processes, affinity via shared memory.
 
         Only the (small) warm-start responsibilities and fit results
         cross the process boundary by pickling; the O(α·N²) affinity
@@ -325,25 +332,25 @@ class InferenceEngine:
         every worker maps read-only.
         """
         values = np.ascontiguousarray(affinity.values)
-        alpha = affinity.n_functions
+        chunks = function_chunks(affinity.n_functions)
         shm = shared_memory.SharedMemory(create=True, size=values.nbytes)
         try:
             staging = np.ndarray(values.shape, dtype=values.dtype, buffer=shm.buf)
             staging[:] = values
-            with ProcessPoolExecutor(max_workers=min(self.n_jobs, alpha)) as pool:
+            with ProcessPoolExecutor(max_workers=min(self.n_jobs, len(chunks))) as pool:
                 futures = [
                     pool.submit(
-                        _fit_block_from_shm,
+                        _fit_chunk_from_shm,
                         shm.name,
                         values.shape,
                         str(values.dtype),
-                        f,
+                        chunk,
                         self.config,
-                        inits[f] if inits is not None else None,
+                        _chunk_inits(inits, chunk),
                     )
-                    for f in range(alpha)
+                    for chunk in chunks
                 ]
-                return tuple(future.result() for future in futures)
+                return tuple(result for future in futures for result in future.result())
         finally:
             shm.close()
             shm.unlink()
@@ -351,25 +358,25 @@ class InferenceEngine:
     def _fit_base_models_process_sparse(
         self, affinity: SparseAffinityMatrix, inits: list[np.ndarray] | None
     ) -> tuple[GMMFitResult, ...]:
-        """Process fan-out over sparse blocks: per-function CSR pickling.
+        """Process fan-out over sparse blocks: per-chunk CSR pickling.
 
-        No shared-memory staging — each submission carries only that
-        function's (N, k) CSR arrays, sublinear in the dense footprint.
+        No shared-memory staging — each submission carries only its
+        chunk's (N, k) CSR arrays, sublinear in the dense footprint.
         """
-        n = affinity.n_examples
-        with ProcessPoolExecutor(max_workers=min(self.n_jobs, affinity.n_functions)) as pool:
+        chunks = function_chunks(affinity.n_functions)
+        with ProcessPoolExecutor(max_workers=min(self.n_jobs, len(chunks))) as pool:
             futures = [
                 pool.submit(
-                    _fit_block_from_csr,
-                    *affinity.csr_block(f),
-                    n,
-                    f,
+                    _fit_chunk_from_csr,
+                    [affinity.csr_block(f) for f in chunk],
+                    affinity.n_examples,
+                    chunk,
                     self.config,
-                    inits[f] if inits is not None else None,
+                    _chunk_inits(inits, chunk),
                 )
-                for f in range(affinity.n_functions)
+                for chunk in chunks
             ]
-            return tuple(future.result() for future in futures)
+            return tuple(result for future in futures for result in future.result())
 
     # ------------------------------------------------------------------
     # Full fit

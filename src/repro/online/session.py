@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.inference.base_gmm import DiagonalGMM, GMMParams
+from repro.core.inference.base_gmm import GMMParams, e_step, stack_blocks, sufficient_statistics
 from repro.core.inference.bernoulli import BernoulliParams, one_hot_encode_lp
 from repro.core.inference.mapping import apply_mapping, map_clusters_to_classes
 from repro.datasets.base import DevSet
@@ -280,11 +280,6 @@ class OnlineSession:
     # ------------------------------------------------------------------
     # Scoring under the current parameters
     # ------------------------------------------------------------------
-    def _base_posterior(self, rows: np.ndarray, params: GMMParams) -> np.ndarray:
-        model = DiagonalGMM(self.n_classes, variance_floor=self._variance_floor)
-        model.weights_, model.means_, model.variances_ = params.weights, params.means, params.variances
-        return model.predict_proba(rows)
-
     @staticmethod
     def _ensemble_log_joint(one_hot: np.ndarray, params: BernoulliParams) -> np.ndarray:
         log_b = np.log(params.probs)
@@ -300,9 +295,20 @@ class OnlineSession:
         self, rows: list[np.ndarray], base_params: list[GMMParams], ens_params: BernoulliParams
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """One hierarchical E-step on a batch: LP, one-hot, posterior, mean ll."""
-        lp = np.concatenate(
-            [self._base_posterior(rows[f], base_params[f]) for f in range(self.alpha)], axis=1
+        return self._score_stack(stack_blocks(rows), base_params, ens_params)
+
+    def _score_stack(
+        self, xx: np.ndarray, base_params: list[GMMParams], ens_params: BernoulliParams
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """:meth:`_score_batch` on the rows' ``[X, X²]`` stack: the α base
+        posteriors come from one stacked E-step, the batch kernel's own."""
+        responsibilities, _ = e_step(
+            xx,
+            np.stack([p.weights for p in base_params]),
+            np.stack([p.means for p in base_params]),
+            np.stack([p.variances for p in base_params]),
         )
+        lp = responsibilities.transpose(2, 0, 1).reshape(xx.shape[1], -1)  # (M, α·K), function-major
         one_hot = one_hot_encode_lp(lp, self.n_classes)
         log_joint = self._ensemble_log_joint(one_hot, ens_params)
         log_norm = logsumexp(log_joint, axis=1, keepdims=True)
@@ -343,7 +349,9 @@ class OnlineSession:
         base_params, ens_params = self._base_params, self._ensemble_params
         cand_base_stats, cand_ens_stats = self._base_stats, self._ensemble_stats
         previous_posterior: np.ndarray | None = None
-        lp, one_hot, posterior, mean_ll = self._score_batch(rows, base_params, ens_params)
+        xx = stack_blocks(rows)
+        n_rows = xx.shape[1]
+        lp, one_hot, posterior, mean_ll = self._score_stack(xx, base_params, ens_params)
         # Prequential drift signal: the score under the *committed*
         # (pre-update) parameters, captured before the refinement loop
         # adapts them to this batch — a distribution shift must show up
@@ -351,10 +359,9 @@ class OnlineSession:
         # update it should trigger on.
         prequential_ll = mean_ll
         for _ in range(config.refine_max_iter):
+            nk, sx, sxx = sufficient_statistics(xx, lp.reshape(n_rows, self.alpha, k).transpose(1, 2, 0))
             cand_base_stats = [
-                self._base_stats[f].blend(
-                    GMMStats.from_responsibilities(rows[f], lp[:, f * k : (f + 1) * k]), rho
-                )
+                self._base_stats[f].blend(GMMStats.from_sums(nk[f], sx[f], sxx[f], n_rows), rho)
                 for f in range(self.alpha)
             ]
             cand_ens_stats = self._ensemble_stats.blend(
@@ -363,7 +370,7 @@ class OnlineSession:
             base_params = [stats.params(self._variance_floor) for stats in cand_base_stats]
             ens_params = cand_ens_stats.params(_ENSEMBLE_PARAM_FLOOR)
             previous_posterior = posterior
-            lp, one_hot, posterior, mean_ll = self._score_batch(rows, base_params, ens_params)
+            lp, one_hot, posterior, mean_ll = self._score_stack(xx, base_params, ens_params)
             if np.abs(posterior - previous_posterior).max() < config.refine_tol:
                 break
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.inference.base_gmm import GMMParams
+from repro.core.inference.base_gmm import GMMParams, diagonal_params, stack_blocks, sufficient_statistics
 from repro.core.inference.bernoulli import BernoulliParams
 
 __all__ = ["GMMStats", "BernoulliStats", "step_size"]
@@ -75,13 +75,14 @@ class GMMStats:
     def from_responsibilities(cls, x: np.ndarray, resp: np.ndarray) -> "GMMStats":
         """Statistics of ``x`` under soft assignments ``resp`` (one E-step's output)."""
         x, resp = _check_responsibilities(x, resp)
-        n = x.shape[0]
-        return cls(
-            nk=resp.sum(axis=0) / n,
-            sx=(resp.T @ x) / n,
-            sxx=(resp.T @ np.square(x)) / n,
-            n=float(n),
-        )
+        nk, sx, sxx = sufficient_statistics(stack_blocks([x]), resp.T[None])
+        return cls.from_sums(nk[0], sx[0], sxx[0], x.shape[0])
+
+    @classmethod
+    def from_sums(cls, nk: np.ndarray, sx: np.ndarray, sxx: np.ndarray, n: int) -> "GMMStats":
+        """Normalise raw sums over ``n`` rows (one function of
+        :func:`~repro.core.inference.base_gmm.sufficient_statistics`)."""
+        return cls(nk=nk / n, sx=sx / n, sxx=sxx / n, n=float(n))
 
     def merge(self, other: "GMMStats") -> "GMMStats":
         """Exact pooling: equals the statistics of the concatenated data."""
@@ -108,16 +109,12 @@ class GMMStats:
     def params(self, variance_floor: float) -> GMMParams:
         """The M-step: parameters maximising the expected log-likelihood.
 
-        Identical to :meth:`repro.core.inference.base_gmm.DiagonalGMM`'s
-        M-step (the ``Σγ(x-μ)²`` form there equals ``sxx/nk - μ²`` here
-        algebraically), so a fit summarised by its statistics and a fit
-        on the raw data produce the same parameters.
+        The batch base GMMs' own M-step function
+        (:func:`repro.core.inference.base_gmm.diagonal_params`), so a fit
+        summarised by its statistics and a fit on the raw data produce
+        the same parameters.
         """
-        nk = np.maximum(self.nk, 1e-10)
-        means = self.sx / nk[:, None]
-        variances = np.maximum(self.sxx / nk[:, None] - np.square(means), variance_floor)
-        weights = nk / nk.sum()
-        return GMMParams(weights=weights, means=means, variances=variances)
+        return diagonal_params(self.nk, self.sx, self.sxx, variance_floor)
 
     def arrays(self, prefix: str) -> dict[str, np.ndarray]:
         """Flat npz-serialisable view (see ``OnlineSession`` persistence)."""

@@ -42,9 +42,11 @@ The ``/v1`` API:
 ``{"error": {"code", "message", "trace_id", ...}}`` with the request's
 trace id echoed in the ``X-Trace-Id`` header — codes are
 ``unknown_route``, ``unknown_tenant``, ``unknown_ticket``,
-``bad_request``, ``payload_too_large`` (413, bodies above
-``max_body_bytes``), ``backpressure`` (429), ``tenant_exists`` (409),
-``tenant_unavailable`` / ``service_unavailable`` (503).
+``bad_request``, ``request_timeout`` (408, a body that stalls short of
+its ``Content-Length`` for ``REQUEST_TIMEOUT_S``), ``payload_too_large``
+(413, bodies above ``max_body_bytes``), ``backpressure`` (429),
+``tenant_exists`` (409), ``tenant_unavailable`` /
+``service_unavailable`` (503).
 
 **Deprecation policy**: the unversioned routes (``POST /submit``,
 ``GET /poll/<ticket>``) remain as aliases onto the default tenant and
@@ -86,6 +88,11 @@ __all__ = ["LabelingHTTPServer", "ROUTES", "Route", "serve_http"]
 
 #: Bodies above this many bytes answer 413 without being read.
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a connection may stall on one socket read or write before the
+#: handler gives up on it: a body shorter than its ``Content-Length``
+#: answers 408 instead of pinning the handler thread.
+REQUEST_TIMEOUT_S = 10.0
 
 
 class Route(NamedTuple):
@@ -342,6 +349,8 @@ def _registration_config(document: dict) -> TenantConfig:
 
 class _Handler(BaseHTTPRequestHandler):
     server: LabelingHTTPServer
+    # The stdlib sets it on the connection socket before the request line is read.
+    timeout = REQUEST_TIMEOUT_S
 
     # Quiet by default: a labeling benchmark should not spam stderr.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
@@ -424,7 +433,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> bytes | None:
-        """The request body, or ``None`` after an already-sent 400 or 413."""
+        """The request body, or ``None`` after an already-sent 400, 408 or 413."""
         header = self.headers.get("Content-Length", "0") or "0"
         try:
             length = int(header)
@@ -440,7 +449,15 @@ class _Handler(BaseHTTPRequestHandler):
                 max_body_bytes=self.server.max_body_bytes,
             )
             return None
-        return self.rfile.read(length)
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            self._error(
+                408, "request_timeout",
+                f"request body not received within {self.timeout}s (Content-Length {length})",
+            )
+            return None
 
     # ------------------------------------------------------------------
     # Handlers (reached only through the route table)

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core import Goggles, GogglesConfig
 from repro.serving import LabelingHTTPServer, LabelingService, serve_http
+from repro.serving import http as serving_http
 
 TIMEOUT = 120.0
 
@@ -214,6 +215,33 @@ class TestContentLength:
         assert code == 400
         assert payload["error"]["code"] == "bad_request"
         assert "Content-Length" in payload["error"]["message"]
+        # The server keeps serving afterwards.
+        assert _get(f"{server.url}/healthz")[0] == 200
+
+
+class TestShortBody:
+    """A body shorter than its ``Content-Length`` must not pin the handler
+    thread: the read times out and answers a 408 envelope."""
+
+    def test_short_body_is_408(self, http_setup, monkeypatch):
+        server, *_ = http_setup
+        monkeypatch.setattr(serving_http._Handler, "timeout", 0.5)
+        parts = urllib.parse.urlsplit(server.url)
+        connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10.0)
+        try:
+            connection.putrequest("POST", f"/v1/tenants/{server.default_tenant}/submit")
+            connection.putheader("Content-Type", "application/octet-stream")
+            connection.putheader("Content-Length", "1000")
+            connection.endheaders(b"x" * 10)
+            started = time.monotonic()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            waited = time.monotonic() - started
+        finally:
+            connection.close()
+        assert response.status == 408
+        assert payload["error"]["code"] == "request_timeout"
+        assert waited < 5.0
         # The server keeps serving afterwards.
         assert _get(f"{server.url}/healthz")[0] == 200
 
