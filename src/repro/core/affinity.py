@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.prototypes import extract_prototypes
 from repro.nn.vgg import VGG16
+from repro.utils.npz import load_npz
 from repro.utils.validation import check_array, check_images
 
 __all__ = [
@@ -105,9 +106,13 @@ class AffinityMatrix:
         return AffinityMatrix(values=np.concatenate(blocks, axis=1), function_ids=self.function_ids)
 
     def save(self, path: "str | BinaryIO") -> None:
-        """Persist to an ``.npz`` file (affinity matrices are the
-        expensive artifact of step 1, worth caching across experiments;
-        the original GOGGLES release caches them the same way).
+        """Persist to an uncompressed ``.npz`` file (affinity matrices
+        are the expensive artifact of step 1, worth caching across
+        experiments; the original GOGGLES release caches them the same
+        way).  Members are stored, not deflated: float64 affinities
+        shrink only ~10% under zlib, while deflating and inflating them
+        cost far more than the disk traffic saved.  :meth:`load` also
+        reads files written by the earlier compressed format.
 
         Alongside the values the file records the block count and
         whether the matrix carried function ids, so :meth:`load` can
@@ -115,7 +120,7 @@ class AffinityMatrix:
         """
         layers = np.array([fid.layer for fid in self.function_ids], dtype=np.int64)
         zs = np.array([fid.z for fid in self.function_ids], dtype=np.int64)
-        np.savez_compressed(
+        np.savez(
             path,
             values=self.values,
             layers=layers,
@@ -138,14 +143,14 @@ class AffinityMatrix:
                 edited file — instead of silently dropping the ids.
         """
         label = path if isinstance(path, str) else getattr(path, "name", "<binary file>")
-        with np.load(path) as data:
-            values = data["values"]
-            ids = tuple(
-                AffinityFunctionId(layer=int(layer), z=int(z))
-                for layer, z in zip(data["layers"], data["zs"])
-            )
-            stored_alpha = int(data["n_functions"]) if "n_functions" in data else None
-            had_ids = bool(data["has_function_ids"]) if "has_function_ids" in data else None
+        data = load_npz(path)
+        values = data["values"]
+        ids = tuple(
+            AffinityFunctionId(layer=int(layer), z=int(z))
+            for layer, z in zip(data["layers"], data["zs"])
+        )
+        stored_alpha = int(data["n_functions"]) if "n_functions" in data else None
+        had_ids = bool(data["has_function_ids"]) if "has_function_ids" in data else None
         if values.ndim != 2 or values.shape[0] == 0 or values.shape[1] % values.shape[0]:
             raise ValueError(f"{label!r} does not hold a valid (N, alpha*N) affinity matrix")
         alpha = values.shape[1] // values.shape[0]
@@ -314,11 +319,11 @@ class SparseAffinityMatrix:
         return digest.hexdigest()
 
     def save(self, path: "str | BinaryIO") -> None:
-        """Persist to an ``.npz`` file (same marker discipline as
-        :meth:`AffinityMatrix.save`)."""
+        """Persist to an uncompressed ``.npz`` file (same storage and
+        marker discipline as :meth:`AffinityMatrix.save`)."""
         layers = np.array([fid.layer for fid in self.function_ids], dtype=np.int64)
         zs = np.array([fid.z for fid in self.function_ids], dtype=np.int64)
-        np.savez_compressed(
+        np.savez(
             path,
             data=self.data,
             indices=self.indices,
@@ -333,18 +338,18 @@ class SparseAffinityMatrix:
         """Load a matrix previously stored with :meth:`save` (path or
         open binary file object)."""
         label = path if isinstance(path, str) else getattr(path, "name", "<binary file>")
-        with np.load(path) as stored:
-            try:
-                data = stored["data"]
-                indices = stored["indices"]
-                fill = stored["fill"]
-            except KeyError as error:
-                raise ValueError(f"{label!r} is not a sparse affinity file: missing {error}") from None
-            ids = tuple(
-                AffinityFunctionId(layer=int(layer), z=int(z))
-                for layer, z in zip(stored["layers"], stored["zs"])
-            )
-            had_ids = bool(stored["has_function_ids"]) if "has_function_ids" in stored else None
+        stored = load_npz(path)
+        try:
+            data = stored["data"]
+            indices = stored["indices"]
+            fill = stored["fill"]
+        except KeyError as error:
+            raise ValueError(f"{label!r} is not a sparse affinity file: missing {error}") from None
+        ids = tuple(
+            AffinityFunctionId(layer=int(layer), z=int(z))
+            for layer, z in zip(stored["layers"], stored["zs"])
+        )
+        had_ids = bool(stored["has_function_ids"]) if "has_function_ids" in stored else None
         if data.ndim != 3:
             raise ValueError(f"{label!r} does not hold (alpha, N, k) sparse affinity blocks")
         if ids and len(ids) != data.shape[0]:

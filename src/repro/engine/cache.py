@@ -8,11 +8,21 @@ keys every artifact by a SHA-256 over exactly those inputs, so
 * changing *any* input (one pixel, ``top_z``, the VGG seed) changes the
   key and misses — no invalidation logic, no stale reads.
 
-Artifacts are ``.npz`` files.  Affinity matrices reuse the
-:meth:`repro.core.affinity.AffinityMatrix.save` format, so a cached
-entry is also directly loadable by user code; auxiliary artifacts
-(pool features, prototype tables, incremental corpus state) are plain
-array bundles.
+Artifacts are uncompressed ``.npz`` files (``np.savez``).  Affinity
+matrices reuse the :meth:`repro.core.affinity.AffinityMatrix.save`
+format, so a cached entry is also directly loadable by user code;
+auxiliary artifacts (pool features, prototype tables, incremental
+corpus state) are plain array bundles.  Members are stored, not
+deflated: float64 artifacts shrink only 10-40% under zlib, while
+deflating them costs about twice the compute they cache and inflating
+them dominates a hit.  Entries are ~1.4x larger on disk than under the
+earlier deflating writer, so size ``cache_max_bytes`` for that; entries
+it wrote still load, under the same keys.
+
+Every read goes through :func:`repro.utils.npz.load_npz`, which checks
+each member's ``.npy`` header against the zip directory before
+allocating, so a forged or truncated entry is a miss, never an
+out-of-memory crash.
 """
 
 from __future__ import annotations
@@ -24,11 +34,13 @@ import threading
 import weakref
 import zipfile
 from dataclasses import dataclass, field
+from typing import BinaryIO, Callable, TypeVar
 
 import numpy as np
 
 from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix, densify_topk_rows
 from repro.obs import default_registry
+from repro.utils.npz import load_npz
 
 # A cache read must never be able to crash a run: any unreadable or
 # internally inconsistent artifact (truncated download, disk-full
@@ -36,17 +48,23 @@ from repro.obs import default_registry
 # evicted so the entry is rebuilt.
 _CORRUPT_ERRORS = (zipfile.BadZipFile, OSError, KeyError, ValueError, EOFError)
 
+_T = TypeVar("_T")
+
 __all__ = ["CacheStats", "ArtifactCache", "MemmapBlockStore", "hash_arrays", "hash_params"]
 
 
 def hash_arrays(*arrays: np.ndarray) -> str:
-    """Stable content hash of arrays (dtype + shape + C-order bytes)."""
+    """Stable content hash of arrays (dtype + shape + C-order bytes).
+
+    sha256 reads a byte view of the contiguous array, so an already
+    C-contiguous input is hashed without a copy.
+    """
     digest = hashlib.sha256()
     for array in arrays:
         array = np.ascontiguousarray(array)
         digest.update(str(array.dtype).encode())
         digest.update(str(array.shape).encode())
-        digest.update(array.tobytes())
+        digest.update(array.reshape(-1).view(np.uint8))
     return digest.hexdigest()
 
 
@@ -166,20 +184,27 @@ class ArtifactCache:
     # Generic array bundles
     # ------------------------------------------------------------------
     def load_arrays(self, kind: str, key: str) -> dict[str, np.ndarray] | None:
+        return self._read(kind, key, load_npz)
+
+    def save_arrays(self, kind: str, key: str, arrays: dict[str, np.ndarray]) -> str:
+        return self._publish(kind, key, lambda handle: np.savez(handle, **arrays))
+
+    def _read(self, kind: str, key: str, read: Callable[[str], _T]) -> _T | None:
+        """``read(path)`` of one entry; an absent or unreadable entry is
+        a miss, and an unreadable one is evicted so it gets rebuilt."""
         path = self.path(kind, key)
         if not os.path.exists(path):
             self._record(kind, hit=False)
             return None
         try:
-            with np.load(path) as data:
-                arrays = {name: data[name] for name in data.files}
+            value = read(path)
         except _CORRUPT_ERRORS:
             self._evict_corrupt(path)
             self._record(kind, hit=False)
             return None
         self._record(kind, hit=True)
         self._touch(path)
-        return arrays
+        return value
 
     def _scratch(self, kind: str) -> tuple[int, str]:
         """A unique scratch file for one writer.
@@ -193,12 +218,21 @@ class ArtifactCache:
         """
         return tempfile.mkstemp(prefix=f"{kind}-", suffix=".tmp", dir=self.cache_dir)
 
-    def save_arrays(self, kind: str, key: str, arrays: dict[str, np.ndarray]) -> str:
+    def _publish(self, kind: str, key: str, write: Callable[[BinaryIO], None]) -> str:
+        """Publish one entry by rename and return its path.
+
+        ``write`` streams the entry into an open scratch handle — a
+        handle, not a name: given a bare ``.tmp`` name, numpy would
+        append ``.npz``, and a ``.tmp.npz`` scratch file is a
+        half-written entry that the eviction scan could list, evict
+        mid-write (breaking the rename), or count against the budget.
+        A failed write removes its scratch file and publishes nothing.
+        """
         path = self.path(kind, key)
         fd, tmp = self._scratch(kind)
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
+                write(handle)
             os.replace(tmp, path)  # atomic: readers never see partial files
         except BaseException:
             self._evict_corrupt(tmp)
@@ -210,67 +244,19 @@ class ArtifactCache:
     # Affinity matrices (AffinityMatrix.save/load format)
     # ------------------------------------------------------------------
     def load_affinity(self, key: str) -> AffinityMatrix | None:
-        path = self.path("affinity", key)
-        if not os.path.exists(path):
-            self._record("affinity", hit=False)
-            return None
-        try:
-            matrix = AffinityMatrix.load(path)
-        except _CORRUPT_ERRORS:
-            self._evict_corrupt(path)
-            self._record("affinity", hit=False)
-            return None
-        self._record("affinity", hit=True)
-        self._touch(path)
-        return matrix
+        return self._read("affinity", key, AffinityMatrix.load)
 
     def save_affinity(self, key: str, matrix: AffinityMatrix) -> str:
-        path = self.path("affinity", key)
-        # Write through an open handle: a bare ``.tmp`` name would have
-        # numpy append ``.npz`` — and a ``.tmp.npz`` scratch file is a
-        # half-written entry that the eviction scan could list, evict
-        # mid-write (breaking the rename), or count against the budget.
-        fd, tmp = self._scratch("affinity")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                matrix.save(handle)
-            os.replace(tmp, path)
-        except BaseException:
-            self._evict_corrupt(tmp)
-            raise
-        self._enforce_budget(keep=path)
-        return path
+        return self._publish("affinity", key, matrix.save)
 
     # ------------------------------------------------------------------
     # Sparse affinity matrices (CSR tiles, SparseAffinityMatrix format)
     # ------------------------------------------------------------------
     def load_affinity_csr(self, key: str) -> SparseAffinityMatrix | None:
-        path = self.path("affinity-csr", key)
-        if not os.path.exists(path):
-            self._record("affinity-csr", hit=False)
-            return None
-        try:
-            sparse = SparseAffinityMatrix.load(path)
-        except _CORRUPT_ERRORS:
-            self._evict_corrupt(path)
-            self._record("affinity-csr", hit=False)
-            return None
-        self._record("affinity-csr", hit=True)
-        self._touch(path)
-        return sparse
+        return self._read("affinity-csr", key, SparseAffinityMatrix.load)
 
     def save_affinity_csr(self, key: str, sparse: SparseAffinityMatrix) -> str:
-        path = self.path("affinity-csr", key)
-        fd, tmp = self._scratch("affinity-csr")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                sparse.save(handle)
-            os.replace(tmp, path)
-        except BaseException:
-            self._evict_corrupt(tmp)
-            raise
-        self._enforce_budget(keep=path)
-        return path
+        return self._publish("affinity-csr", key, sparse.save)
 
     # ------------------------------------------------------------------
     # Memmap pinning (refcounted deferral of eviction for live readers)

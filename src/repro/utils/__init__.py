@@ -1,5 +1,6 @@
 """Shared utilities: seeding, validation, and small numeric helpers."""
 
+from repro.utils.npz import load_npz
 from repro.utils.numeric import logsumexp
 from repro.utils.rng import spawn_rng, derive_seed
 from repro.utils.validation import (
@@ -10,6 +11,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "load_npz",
     "logsumexp",
     "spawn_rng",
     "derive_seed",

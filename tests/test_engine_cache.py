@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 import threading
 import unittest.mock
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.core.affinity import AffinityFunctionId, AffinityMatrix
 from repro.engine import (
     AffinityEngine,
     ArtifactCache,
@@ -18,9 +22,11 @@ from repro.engine import (
     hash_arrays,
     hash_params,
     logits_source,
+    sparsify_affinity,
 )
 from repro.nn import BACKBONE_KERNEL, Conv2d, MaxPool2d
 from repro.nn import functional as F
+from repro.utils import load_npz
 
 
 class TestHashing:
@@ -39,6 +45,29 @@ class TestHashing:
     def test_param_hash_order_independent(self):
         assert hash_params({"a": 1, "b": 2}) == hash_params({"b": 2, "a": 1})
         assert hash_params({"a": 1}) != hash_params({"a": 2})
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(24.0).reshape(4, 6),
+            np.asfortranarray(np.arange(24.0).reshape(4, 6)),
+            np.arange(48.0).reshape(6, 8)[::2, 1::3],
+            np.array(3.5),
+            np.empty((0, 5)),
+            np.array([[True, False], [False, True]]),
+            np.linspace(0, 1, 10, dtype=np.float32),
+        ],
+        ids=["c-order", "f-order", "strided", "0-d", "empty", "bool", "float32"],
+    )
+    def test_byte_view_digest_matches_tobytes(self, array):
+        """Cache keys and shard ids must not move: the byte-view digest
+        equals the ``tobytes()`` digest it replaced."""
+        digest = hashlib.sha256()
+        contiguous = np.ascontiguousarray(array)
+        digest.update(str(contiguous.dtype).encode())
+        digest.update(str(contiguous.shape).encode())
+        digest.update(contiguous.tobytes())
+        assert hash_arrays(array) == digest.hexdigest()
 
 
 class TestArtifactCache:
@@ -375,13 +404,32 @@ class TestConcurrentWriteEvictionRaces:
             handle.write(b"PK\x03\x04 partial zip header")
             raise OSError("disk full mid-write")
 
-        monkeypatch.setattr(np, "savez_compressed", exploding_savez)
+        monkeypatch.setattr(np, "savez", exploding_savez)
         with pytest.raises(OSError, match="disk full"):
             cache.save_arrays("shard", key, {"x": np.arange(4)})
         monkeypatch.undo()
         assert list(tmp_path.glob("*.npz")) == []
         assert list(tmp_path.glob("*.tmp")) == []
         assert cache.load_arrays("shard", key) is None
+
+    def test_half_written_affinity_entry_never_published(self, tmp_path, monkeypatch):
+        """The same guarantee for an ``affinity`` entry, whose bytes come
+        from :meth:`AffinityMatrix.save` rather than a bare array bundle."""
+        cache = ArtifactCache(str(tmp_path))
+        key = "f" * 64
+        matrix = AffinityMatrix(values=np.eye(3), function_ids=(AffinityFunctionId(layer=0, z=0),))
+
+        def exploding_savez(handle, **arrays):
+            handle.write(b"PK\x03\x04 partial zip header")
+            raise OSError("disk full mid-write")
+
+        monkeypatch.setattr(np, "savez", exploding_savez)
+        with pytest.raises(OSError, match="disk full"):
+            cache.save_affinity(key, matrix)
+        monkeypatch.undo()
+        assert list(tmp_path.glob("*.npz")) == []
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert cache.load_affinity(key) is None
 
     def test_eviction_never_breaks_an_in_flight_affinity_write(self, tmp_path, vgg, tiny_images):
         """Regression: the affinity scratch file used to be named
@@ -454,3 +502,159 @@ class TestConcurrentWriteEvictionRaces:
         loaded = cache.load_arrays("shard", key)
         assert loaded is not None
         np.testing.assert_array_equal(loaded["best"], expected["best"])
+
+
+def _npy_member(shape, data: bytes, descr: str = "<f8") -> bytes:
+    """An ``.npy`` member: a version-1.0 header claiming ``shape``, then ``data``."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": descr, "fortran_order": False, "shape": shape})
+    return header.getvalue() + data
+
+
+def _write_stored_zip(path, members: dict[str, bytes]) -> None:
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+        for name, payload in members.items():
+            archive.writestr(name, payload)
+
+
+# Each loader reads its first member before any schema check, so one
+# forged member is enough to reach the header validation.
+_LOADERS = {
+    "state": ("x.npy", lambda cache, key: cache.load_arrays("state", key)),
+    "affinity": ("values.npy", lambda cache, key: cache.load_affinity(key)),
+    "affinity-csr": ("data.npy", lambda cache, key: cache.load_affinity_csr(key)),
+}
+
+
+class TestForgedEntries:
+    """A member whose ``.npy`` header disagrees with the zip directory is
+    rejected before allocation: the entry misses and is evicted, and no
+    forged shape can turn a cache read into a ``MemoryError``."""
+
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    @pytest.mark.parametrize(
+        "shape, data",
+        [
+            ((10**13,), bytes(64)),
+            ((2**40, 2**20), bytes(64)),
+            ((100,), bytes(50 * 8)),  # truncated: header claims more than stored
+            ((10,), bytes(20 * 8)),  # overlong: stored more than header claims
+        ],
+        ids=["1e13", "2^40x2^20", "truncated", "overlong"],
+    )
+    def test_forged_member_misses_and_evicts(self, tmp_path, kind, shape, data):
+        member, load = _LOADERS[kind]
+        cache = ArtifactCache(str(tmp_path))
+        key = "a" * 64
+        path = cache.path(kind, key)
+        _write_stored_zip(path, {member: _npy_member(shape, data)})
+        assert load(cache, key) is None
+        assert not os.path.exists(path)
+        assert cache.stats.misses == {kind: 1}
+        assert cache.stats.hits == {}
+
+    def test_object_dtype_member_rejected(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path))
+        key = "a" * 64
+        _write_stored_zip(cache.path("state", key), {"x.npy": _npy_member((1,), bytes(8), descr="|O")})
+        assert cache.load_arrays("state", key) is None
+        assert not os.path.exists(cache.path("state", key))
+
+    def test_forged_directory_size_rejected_before_allocation(self, tmp_path):
+        """A directory entry that claims more bytes than the archive holds
+        (header and directory forged together) is refused up front."""
+        path = tmp_path / "forged.npz"
+        shape = (2**20,)
+        payload = _npy_member(shape, bytes(64))
+        claimed = len(payload) - 64 + 8 * 2**20
+        _write_stored_zip(path, {"x.npy": payload})
+        raw = bytearray(path.read_bytes())
+        central = raw.index(b"PK\x01\x02")
+        # Central-directory compressed and uncompressed sizes (offsets 20, 24).
+        raw[central + 20 : central + 28] = claimed.to_bytes(4, "little") * 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="cannot hold"):
+            load_npz(str(path))
+
+    def test_crc_mismatch_misses_and_evicts(self, tmp_path):
+        """Stored members skip zlib but not the zip CRC-32 check."""
+        cache = ArtifactCache(str(tmp_path))
+        key = "a" * 64
+        path = cache.save_arrays("state", key, {"x": np.arange(64, dtype=np.float64)})
+        raw = bytearray(open(path, "rb").read())
+        raw[raw.index(np.float64(63.0).tobytes())] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(raw))
+        assert cache.load_arrays("state", key) is None
+        assert not os.path.exists(path)
+
+
+def _affinity_matrix() -> AffinityMatrix:
+    values = np.random.default_rng(5).random((6, 12))
+    return AffinityMatrix(
+        values=values,
+        function_ids=(AffinityFunctionId(layer=0, z=0), AffinityFunctionId(layer=1, z=2)),
+    )
+
+
+def _entry_arrays(save) -> dict[str, np.ndarray]:
+    """The members ``save(handle)`` writes, read back."""
+    buffer = io.BytesIO()
+    save(buffer)
+    buffer.seek(0)
+    with np.load(buffer) as data:
+        return {name: data[name] for name in data.files}
+
+
+class TestStorageFormat:
+    """Entries are written uncompressed; compressed ones still hit."""
+
+    @staticmethod
+    def _entries(cache: ArtifactCache):
+        matrix = _affinity_matrix()
+        sparse = sparsify_affinity(matrix, top_k=3)
+        bundle = {"x": np.arange(10.0), "n_images": np.int64(6)}
+        return {
+            "affinity": (matrix.save, lambda key: cache.load_affinity(key)),
+            "affinity-csr": (sparse.save, lambda key: cache.load_affinity_csr(key)),
+            "state": (
+                lambda handle: np.savez(handle, **bundle),
+                lambda key: cache.load_arrays("state", key),
+            ),
+            "inference": (
+                lambda handle: np.savez(handle, **bundle),
+                lambda key: cache.load_arrays("inference", key),
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", ["affinity", "affinity-csr", "state", "inference"])
+    def test_compressed_entry_is_a_hit(self, tmp_path, kind):
+        """An entry from the earlier deflating writer loads unchanged under
+        the same key: no namespace bump, no rebuild."""
+        cache = ArtifactCache(str(tmp_path))
+        save, load = self._entries(cache)[kind]
+        expected = _entry_arrays(save)
+        key = "c" * 64
+        np.savez_compressed(cache.path(kind, key), **expected)
+        with zipfile.ZipFile(cache.path(kind, key)) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+        loaded = load(key)
+        assert loaded is not None
+        assert cache.stats.hits == {kind: 1}
+        arrays = loaded if isinstance(loaded, dict) else _entry_arrays(loaded.save)
+        assert arrays.keys() == expected.keys()
+        assert all(np.array_equal(arrays[name], array) for name, array in expected.items())
+
+    def test_new_entries_are_stored_uncompressed(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path))
+        matrix = _affinity_matrix()
+        paths = [
+            cache.save_affinity("d" * 64, matrix),
+            cache.save_affinity_csr("e" * 64, sparsify_affinity(matrix, top_k=3)),
+            cache.save_arrays("state", "f" * 64, {"x": np.arange(10.0), "y": np.eye(3)}),
+        ]
+        for path in paths:
+            with zipfile.ZipFile(path) as archive:
+                infos = archive.infolist()
+                assert infos
+                assert all(info.compress_type == zipfile.ZIP_STORED for info in infos), path
